@@ -1,6 +1,7 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
-//! per-bank queue depth, link protocol overhead, NoC topology (quadrants
-//! vs flat crossbar), and tag-pool size. Each configuration's simulated
+//! Ablation benchmarks for the model's calibrated design choices:
+//! per-bank queue depth (sized from the paper's Little's-law estimate),
+//! link protocol overhead (sets the ~23 GB/s bandwidth plateau), NoC
+//! topology (quadrants vs flat crossbar) and tag-pool size. Each configuration's simulated
 //! outcome is printed once (stderr), and Criterion times the run — so the
 //! suite doubles as a sensitivity study and a performance regression net.
 

@@ -67,7 +67,10 @@ impl Default for VaultTuning {
 /// The default models the paper's device: a 4 GB HMC 1.1 with two
 /// half-width 15 Gbps links attached to quadrants 0 and 1 (the AC-510
 /// wiring), 128 B max block size, and the queue/latency calibration
-/// documented in `DESIGN.md`.
+/// documented on [`SwitchTuning`] and [`VaultTuning`]: switch and vault
+/// latencies fill the paper's ≈0.7 µs no-load round trip left after the
+/// FPGA and links, and the per-bank queue depth reproduces the Figure 14
+/// outstanding-request scaling.
 ///
 /// # Examples
 ///

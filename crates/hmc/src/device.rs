@@ -1,6 +1,8 @@
 //! The assembled cube: quadrant switches, vault controllers and upstream
 //! links behind a single sans-event facade.
 
+use std::cell::Cell;
+
 use hmc_des::wheel::{Entry, EventQueue};
 use hmc_des::{Clocked, InlineVec, Time};
 use hmc_link::{Deliveries, LinkTx};
@@ -103,6 +105,11 @@ pub struct DeviceStats {
     pub per_vault_peak_outstanding: Vec<usize>,
     /// Total switch arbitration conflicts (request + response planes).
     pub switch_conflicts: u64,
+    /// Sans-event component calls the device made: every
+    /// `SwitchCore::service_into`, `SwitchCore::next_wake` and
+    /// `LinkTx::service_into`. A deterministic measure of the host work
+    /// the NoC model costs per event, independent of timing noise.
+    pub service_calls: u64,
 }
 
 /// The full Hybrid Memory Cube device model.
@@ -177,6 +184,20 @@ pub struct HmcDevice {
     req_dirty: u32,
     /// Response-plane counterpart of `req_dirty`.
     resp_dirty: u32,
+    /// `SwitchCore::next_wake(Time::ZERO)` of each request-plane switch,
+    /// taken right after its last service. Exact while the switch is
+    /// clean: every mutation that could move it (enqueue, a credit return
+    /// a starved head waits for, an expired busy interval) marks the
+    /// switch dirty, and a dirty switch is serviced — and re-cached —
+    /// before `advance` returns.
+    req_wake: Vec<Option<Time>>,
+    /// Response-plane counterpart of `req_wake`.
+    resp_wake: Vec<Option<Time>>,
+    /// Bitmask of upstream serializers with work: a packet was enqueued,
+    /// or a token return reached a token-starved head. A serializer
+    /// serviced since neither happened has an empty queue or a starved
+    /// head, so servicing it again moves nothing.
+    link_dirty: u32,
     /// Reused output buffer (returned as a view by `advance`).
     outputs: DeviceOutputs,
     /// Reused departure scratch for request-plane switch service.
@@ -185,6 +206,11 @@ pub struct HmcDevice {
     resp_dep_scratch: Departures<DeviceResponse>,
     /// Reused delivery scratch for upstream serializer service.
     delivery_scratch: Deliveries<ResponsePacket>,
+    /// Reused `(bank, completion)` scratch for vault service starts.
+    start_scratch: Vec<(usize, Time)>,
+    /// See [`DeviceStats::service_calls`]; a `Cell` because the `&self`
+    /// wake query may call into a switch that is still dirty.
+    service_calls: Cell<u64>,
     requests_received: u64,
     responses_sent: u64,
     /// Telemetry probe (detached by default — every emit is one branch).
@@ -261,6 +287,7 @@ impl HmcDevice {
             .collect::<Vec<_>>();
         let vault_count = usize::from(g.vaults);
         assert!(quadrants <= 32, "dirty bitmasks cover up to 32 quadrants");
+        assert!(link_tx.len() <= 32, "dirty bitmasks cover up to 32 links");
         HmcDevice {
             cfg,
             ports,
@@ -276,10 +303,15 @@ impl HmcDevice {
             dirty_flag: vec![false; vault_count],
             req_dirty: 0,
             resp_dirty: 0,
+            req_wake: vec![None; quadrants],
+            resp_wake: vec![None; quadrants],
+            link_dirty: 0,
             outputs: DeviceOutputs::new(),
             req_dep_scratch: Departures::new(),
             resp_dep_scratch: Departures::new(),
             delivery_scratch: Deliveries::new(),
+            start_scratch: Vec::with_capacity(usize::from(g.banks_per_vault)),
+            service_calls: Cell::new(0),
             requests_received: 0,
             responses_sent: 0,
             probe: Probe::off(),
@@ -344,7 +376,9 @@ impl HmcDevice {
     /// Returns host-RX-buffer tokens to the upstream serializer of `link`
     /// (the host drained `flits` flits of responses).
     pub fn return_response_tokens(&mut self, link: LinkId, flits: u32) {
-        self.link_tx[link.index()].return_tokens(flits);
+        if self.link_tx[link.index()].return_tokens(flits) {
+            self.link_dirty |= 1 << link.index();
+        }
     }
 
     /// Processes all internal events up to and including `now` and runs the
@@ -358,7 +392,10 @@ impl HmcDevice {
     /// Servicing a clean switch is a no-op — the arbiter does not rotate
     /// and no counter moves on a grantless pass — so the gate is
     /// observably pure and removes the ~96% of service calls that used to
-    /// scan loaded runs without forwarding anything.
+    /// scan loaded runs without forwarding anything. The upstream
+    /// serializers are gated the same way (`link_dirty`), and busy-interval
+    /// expiry is read from each switch's cached wake instead of rescanning
+    /// its heads.
     pub fn advance(&mut self, now: Time) -> &DeviceOutputs {
         self.outputs.clear();
         let mut req_deps = std::mem::take(&mut self.req_dep_scratch);
@@ -368,10 +405,10 @@ impl HmcDevice {
         // can progress on their own — mark them dirty. (Credit- and
         // enqueue-driven progress marks dirty at the mutation site.)
         for q in 0..self.req_sw.len() {
-            if SwitchCore::next_wake(&self.req_sw[q], Time::ZERO).is_some_and(|t| t <= now) {
+            if self.req_wake[q].is_some_and(|t| t <= now) {
                 self.req_dirty |= 1 << q;
             }
-            if SwitchCore::next_wake(&self.resp_sw[q], Time::ZERO).is_some_and(|t| t <= now) {
+            if self.resp_wake[q].is_some_and(|t| t <= now) {
                 self.resp_dirty |= 1 << q;
             }
         }
@@ -420,6 +457,7 @@ impl HmcDevice {
                     let l = resp.link.index();
                     let flits = resp.pkt.flits();
                     self.link_tx[l].enqueue(resp.pkt, flits);
+                    self.link_dirty |= 1 << l;
                     // The egress buffer slot frees as the packet enters the
                     // serializer queue.
                     let q = self.quad_of_link(resp.link);
@@ -453,6 +491,8 @@ impl HmcDevice {
                 }
                 self.req_dirty &= !(1 << q);
                 self.req_sw[q].service_into(now, &mut req_deps);
+                self.req_wake[q] = self.req_sw[q].next_wake(Time::ZERO);
+                self.count_calls(2);
                 for d in req_deps.drain() {
                     progress = true;
                     if d.input == LINK_PORT {
@@ -494,6 +534,8 @@ impl HmcDevice {
                 }
                 self.resp_dirty &= !(1 << q);
                 self.resp_sw[q].service_into(now, &mut resp_deps);
+                self.resp_wake[q] = self.resp_sw[q].next_wake(Time::ZERO);
+                self.count_calls(2);
                 for d in resp_deps.drain() {
                     progress = true;
                     if let Some(slot) = self.ports.vault_slot(d.input) {
@@ -525,8 +567,11 @@ impl HmcDevice {
                 }
             }
             // Upstream serializers.
-            for l in 0..self.link_tx.len() {
+            while self.link_dirty != 0 {
+                let l = self.link_dirty.trailing_zeros() as usize;
+                self.link_dirty &= !(1 << l);
                 self.link_tx[l].service_into(now, &mut deliveries);
+                self.count_calls(1);
                 for delivery in deliveries.drain() {
                     progress = true;
                     self.probe.trace_mark(
@@ -546,6 +591,11 @@ impl HmcDevice {
                 break;
             }
         }
+        debug_assert_eq!(
+            self.req_dirty | self.resp_dirty | self.link_dirty,
+            0,
+            "the fixpoint leaves nothing dirty"
+        );
         self.req_dep_scratch = req_deps;
         self.resp_dep_scratch = resp_deps;
         self.delivery_scratch = deliveries;
@@ -563,12 +613,26 @@ impl HmcDevice {
             }
         };
         // Switch wakes depend on "now"; using Time::ZERO yields every
-        // pending busy-interval expiry, which is what we need here.
-        for sw in &self.req_sw {
-            consider(&mut wake, sw.next_wake(Time::ZERO));
-        }
-        for sw in &self.resp_sw {
-            consider(&mut wake, sw.next_wake(Time::ZERO));
+        // pending busy-interval expiry, which is what we need here. A
+        // clean switch's cached wake is exact; a switch mutated since its
+        // last service (a request arrived and `advance` has not run yet)
+        // is asked directly.
+        for q in 0..self.req_sw.len() {
+            let bit = 1 << q;
+            let req = if self.req_dirty & bit != 0 {
+                self.count_calls(1);
+                self.req_sw[q].next_wake(Time::ZERO)
+            } else {
+                self.req_wake[q]
+            };
+            let resp = if self.resp_dirty & bit != 0 {
+                self.count_calls(1);
+                self.resp_sw[q].next_wake(Time::ZERO)
+            } else {
+                self.resp_wake[q]
+            };
+            consider(&mut wake, req);
+            consider(&mut wake, resp);
         }
         wake
     }
@@ -598,6 +662,7 @@ impl HmcDevice {
                 .map(|sw| sw.arbitration_conflicts())
                 .chain(self.resp_sw.iter().map(|sw| sw.arbitration_conflicts()))
                 .sum(),
+            service_calls: self.service_calls.get(),
         }
     }
 
@@ -666,6 +731,10 @@ impl HmcDevice {
         self.cal_next = Some(self.cal_next.map_or(at, |w| w.min(at)));
     }
 
+    fn count_calls(&self, n: u64) {
+        self.service_calls.set(self.service_calls.get() + n);
+    }
+
     fn mark_dirty(&mut self, vault: usize) {
         if !self.dirty_flag[vault] {
             self.dirty_flag[vault] = true;
@@ -713,7 +782,9 @@ impl HmcDevice {
         }
         // Idle banks with queued work → DRAM.
         let ctrl_out = self.cfg.vault.ctrl_latency;
-        for (bank, completion) in self.vaults[v].start_services(now) {
+        let mut started = std::mem::take(&mut self.start_scratch);
+        self.vaults[v].start_services_into(now, &mut started);
+        for (bank, completion) in started.drain(..) {
             self.probe.vault_service(self.probe_cube, v as u8, now);
             self.schedule(
                 completion + ctrl_out,
@@ -721,6 +792,7 @@ impl HmcDevice {
             );
             progress = true;
         }
+        self.start_scratch = started;
         progress
     }
 

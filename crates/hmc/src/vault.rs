@@ -52,6 +52,9 @@ pub struct VaultCtrl {
     startable_flag: Vec<bool>,
     /// Banks holding a completed response, in completion order.
     ready: std::collections::VecDeque<usize>,
+    /// Requests resident from `push_ingress` to `take_completed`: the
+    /// running form of [`VaultCtrl::outstanding`]'s recount.
+    resident: usize,
 }
 
 impl VaultCtrl {
@@ -68,6 +71,7 @@ impl VaultCtrl {
             startable: std::collections::VecDeque::new(),
             startable_flag: vec![false; banks],
             ready: std::collections::VecDeque::new(),
+            resident: 0,
         }
     }
 
@@ -87,7 +91,8 @@ impl VaultCtrl {
         self.ingress
             .push(flits, req)
             .unwrap_or_else(|_| panic!("vault ingress overflow: credit protocol violated"));
-        self.note_outstanding();
+        self.resident += 1;
+        self.stats.peak_outstanding = self.stats.peak_outstanding.max(self.resident);
     }
 
     /// Moves ingress requests into their bank queues until the head blocks
@@ -111,8 +116,19 @@ impl VaultCtrl {
     /// Starts service on every idle bank with queued work. Returns
     /// `(bank, completion_time)` for each started request; the caller
     /// schedules the completions.
+    ///
+    /// Convenience form of [`VaultCtrl::start_services_into`].
     pub fn start_services(&mut self, now: Time) -> Vec<(usize, Time)> {
         let mut started = Vec::new();
+        self.start_services_into(now, &mut started);
+        started
+    }
+
+    /// Starts service on every idle bank with queued work, appending
+    /// `(bank, completion_time)` for each started request to `started`
+    /// (the caller schedules the completions). Hot paths pass a reused
+    /// buffer so steady-state service allocates nothing.
+    pub fn start_services_into(&mut self, now: Time, started: &mut Vec<(usize, Time)>) {
         while let Some(bank) = self.startable.pop_front() {
             self.startable_flag[bank] = false;
             if self.engines[bank] != BankEngine::Idle {
@@ -134,7 +150,6 @@ impl VaultCtrl {
             self.engines[bank] = BankEngine::InService(req);
             started.push((bank, completion));
         }
-        started
     }
 
     /// Marks `bank`'s in-service request as completed (its scheduled
@@ -188,6 +203,7 @@ impl VaultCtrl {
         match std::mem::replace(&mut self.engines[bank], BankEngine::Idle) {
             BankEngine::Completed(req) => {
                 self.stats.serviced += 1;
+                self.resident -= 1;
                 self.mark_startable(bank);
                 req
             }
@@ -216,13 +232,16 @@ impl VaultCtrl {
     /// Requests currently resident in this vault (ingress + bank queues +
     /// in service or blocked).
     pub fn outstanding(&self) -> usize {
-        let queued: usize = self.bank_queues.iter().map(|q| q.len()).sum();
-        let busy = self
-            .engines
-            .iter()
-            .filter(|e| **e != BankEngine::Idle)
-            .count();
-        self.ingress.len() + queued + busy
+        debug_assert_eq!(self.resident, {
+            let queued: usize = self.bank_queues.iter().map(|q| q.len()).sum();
+            let busy = self
+                .engines
+                .iter()
+                .filter(|e| **e != BankEngine::Idle)
+                .count();
+            self.ingress.len() + queued + busy
+        });
+        self.resident
     }
 
     /// Counters for this vault.
@@ -233,13 +252,6 @@ impl VaultCtrl {
     /// The DRAM model behind this controller (for utilization statistics).
     pub fn memory(&self) -> &VaultMemory {
         &self.memory
-    }
-
-    fn note_outstanding(&mut self) {
-        let now = self.outstanding();
-        if now > self.stats.peak_outstanding {
-            self.stats.peak_outstanding = now;
-        }
     }
 }
 

@@ -277,7 +277,9 @@ fn deterministic_across_identical_runs() {
 #[test]
 fn flat_crossbar_topology_also_works() {
     // The quadrant count is a geometry knob; a single-quadrant geometry is
-    // the flat-crossbar ablation of DESIGN.md.
+    // a flat 16-vault crossbar, the topology ablation of
+    // `crates/bench/benches/ablations.rs` that removes the paper's
+    // cross-quadrant hop asymmetry.
     let mut cfg = DeviceConfig::ac510_hmc();
     let mut geometry = *cfg.map.geometry();
     geometry.quadrants = 1;
@@ -333,4 +335,53 @@ fn ignored_high_address_bits_do_not_crash() {
     let mut driver = Driver::new(hmc, vec![vec![pkt], Vec::new()]);
     driver.run();
     assert_eq!(driver.responses.len(), 1);
+}
+
+#[test]
+fn withheld_response_tokens_stall_the_link_until_returned() {
+    // The upstream serializer is serviced only on an enqueue or on a
+    // token return that reaches a token-starved head. Shrink the host RX
+    // buffer to two 128 B responses, withhold every token until the
+    // device goes quiet, then hand them back: the starved serializer must
+    // resume, and every response must still arrive.
+    let mut cfg = DeviceConfig::ac510_hmc();
+    cfg.link.input_buffer_flits = 18;
+    let map = cfg.map;
+    let mut hmc = HmcDevice::new(cfg);
+    let requests = 32u16;
+    for tag in 0..requests {
+        let pkt = read_packet(&map, (tag % 16) as u8, 0, tag, PayloadSize::B128);
+        hmc.on_request(Time::ZERO, LinkId(0), pkt);
+    }
+    let mut now = Time::ZERO;
+    let mut delivered = 0u16;
+    let mut withheld = 0u32;
+    let mut rounds = 0;
+    while delivered < requests {
+        for out in hmc.advance(now) {
+            if let DeviceOutput::Response { pkt, .. } = out {
+                delivered += 1;
+                withheld += pkt.flits();
+            }
+        }
+        match hmc.next_wake() {
+            Some(t) => now = t,
+            None => {
+                // Quiet with responses outstanding: the serializer is
+                // token-starved. Return what the host has drained.
+                assert!(withheld > 0, "stalled with no tokens to return");
+                hmc.return_response_tokens(LinkId(0), withheld);
+                withheld = 0;
+                rounds += 1;
+                assert!(rounds <= usize::from(requests), "serializer never resumed");
+            }
+        }
+    }
+    assert!(
+        rounds > 1,
+        "the small RX buffer must stall the link repeatedly"
+    );
+    let stats = hmc.link_stats(LinkId(0));
+    assert_eq!(stats.packets_sent, u64::from(requests));
+    assert!(stats.token_stalls > 0);
 }

@@ -30,9 +30,10 @@ impl RoundRobinArbiter {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or exceeds 64 (ready sets are `u64` masks).
     pub fn new(n: usize) -> RoundRobinArbiter {
         assert!(n > 0, "arbiter needs at least one requester");
+        assert!(n <= 64, "arbiter ready masks cover at most 64 requesters");
         RoundRobinArbiter {
             n,
             next: 0,
@@ -55,29 +56,67 @@ impl RoundRobinArbiter {
 
     /// Grants to the first ready requester at or after the priority
     /// pointer, advancing the pointer past the winner. `ready(i)` reports
-    /// whether requester `i` wants the resource.
+    /// whether requester `i` wants the resource; it is asked once per
+    /// requester, in index order.
     ///
     /// Returns `None` if no requester is ready.
     pub fn grant<F: FnMut(usize) -> bool>(&mut self, mut ready: F) -> Option<usize> {
-        let mut contenders = 0usize;
-        let mut winner = None;
-        for off in 0..self.n {
-            let i = (self.next + off) % self.n;
+        let mut mask = 0u64;
+        for i in 0..self.n {
             if ready(i) {
-                contenders += 1;
-                if winner.is_none() {
-                    winner = Some(i);
-                }
+                mask |= 1 << i;
             }
         }
-        if let Some(w) = winner {
-            self.next = (w + 1) % self.n;
-            self.grants += 1;
-            if contenders > 1 {
-                self.conflicts += 1;
-            }
+        self.grant_mask(mask)
+    }
+
+    /// [`RoundRobinArbiter::grant`] over a ready set given as a bitmask
+    /// (bit `i` set = requester `i` ready): the first set bit at or after
+    /// the priority pointer wins, wrapping past the top. Every set bit
+    /// counts as a contender for [`RoundRobinArbiter::conflicts`].
+    ///
+    /// Returns `None` if `ready` is zero.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use hmc_noc::RoundRobinArbiter;
+    ///
+    /// let mut arb = RoundRobinArbiter::new(4);
+    /// assert_eq!(arb.grant_mask(0b1010), Some(1));
+    /// assert_eq!(arb.grant_mask(0b1010), Some(3));
+    /// assert_eq!(arb.grant_mask(0b1010), Some(1)); // wraps
+    /// assert_eq!(arb.conflicts(), 3);
+    /// ```
+    #[inline]
+    pub fn grant_mask(&mut self, ready: u64) -> Option<usize> {
+        debug_assert!(
+            self.n == 64 || ready >> self.n == 0,
+            "ready bit beyond the requester count"
+        );
+        if ready == 0 {
+            return None;
         }
-        winner
+        // `next < n <= 64`, so the shift is in range.
+        let at_or_after = ready & (u64::MAX << self.next);
+        let w = if at_or_after != 0 {
+            at_or_after.trailing_zeros()
+        } else {
+            ready.trailing_zeros()
+        } as usize;
+        self.next = if w + 1 == self.n { 0 } else { w + 1 };
+        self.grants += 1;
+        if ready.count_ones() > 1 {
+            self.conflicts += 1;
+        }
+        Some(w)
+    }
+
+    /// The priority pointer: the requester checked first by the next
+    /// grant.
+    #[inline]
+    pub fn priority(&self) -> usize {
+        self.next
     }
 
     /// Total grants issued.
@@ -143,5 +182,22 @@ mod tests {
     #[should_panic(expected = "at least one requester")]
     fn zero_requesters_rejected() {
         let _ = RoundRobinArbiter::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn more_than_64_requesters_rejected() {
+        let _ = RoundRobinArbiter::new(65);
+    }
+
+    #[test]
+    fn full_width_mask_wraps_from_the_top_bit() {
+        let mut a = RoundRobinArbiter::new(64);
+        assert_eq!(a.grant_mask(1 << 63), Some(63));
+        assert_eq!(a.priority(), 0);
+        assert_eq!(a.grant_mask(1 << 63 | 1 << 5), Some(5));
+        assert_eq!(a.priority(), 6);
+        assert_eq!(a.grant_mask(1 << 2), Some(2));
+        assert_eq!(a.conflicts(), 1);
     }
 }

@@ -120,6 +120,11 @@ pub struct SwitchCore<P> {
     peak_input_flits: Vec<u32>,
     output_free: Vec<Time>,
     output_credits: Vec<Credits>,
+    /// Per output: bit `i` is set while input `i`'s head targets it. Kept
+    /// exact at the two places a head changes (enqueue into an empty
+    /// input, pop in service), so arbitration and wake queries visit only
+    /// the heads that matter instead of every input.
+    head_mask: Vec<u64>,
     arbs: Vec<RoundRobinArbiter>,
     forwarded: u64,
     probe: Probe,
@@ -147,8 +152,9 @@ impl<P> SwitchCore<P> {
     ///
     /// # Panics
     ///
-    /// Panics as [`SwitchCore::new`] does, or if the capacity slice length
-    /// does not match the input count or contains a zero.
+    /// Panics as [`SwitchCore::new`] does, if the capacity slice length
+    /// does not match the input count or contains a zero, or if the
+    /// switch has more than 64 inputs (head sets are `u64` masks).
     pub fn with_input_capacities(
         cfg: SwitchConfig,
         input_capacity_flits: &[u32],
@@ -169,6 +175,7 @@ impl<P> SwitchCore<P> {
             input_capacity_flits.iter().all(|&c| c > 0),
             "input capacities must be positive"
         );
+        assert!(cfg.inputs <= 64, "head masks cover at most 64 inputs");
         SwitchCore {
             cfg,
             // Pre-sized to the worst case the capacity hint allows
@@ -186,6 +193,7 @@ impl<P> SwitchCore<P> {
                 .iter()
                 .map(|&c| Credits::new(c))
                 .collect(),
+            head_mask: vec![0; cfg.outputs],
             arbs: (0..cfg.outputs)
                 .map(|_| RoundRobinArbiter::new(cfg.inputs))
                 .collect(),
@@ -237,6 +245,9 @@ impl<P> SwitchCore<P> {
         }
         self.input_flits[input] += entry.flits;
         self.peak_input_flits[input] = self.peak_input_flits[input].max(self.input_flits[input]);
+        if self.inputs[input].is_empty() {
+            self.head_mask[entry.output] |= 1 << input;
+        }
         self.inputs[input].push_back(entry);
         Ok(())
     }
@@ -275,36 +286,35 @@ impl<P> SwitchCore<P> {
         loop {
             let mut progress = false;
             for o in 0..self.cfg.outputs {
-                if self.output_free[o] > now {
+                if self.head_mask[o] == 0 || self.output_free[o] > now {
                     continue;
                 }
-                let inputs = &self.inputs;
-                let credits = &self.output_credits[o];
-                let grant = self.arbs[o].grant(|i| {
-                    inputs[i]
-                        .front()
-                        .is_some_and(|e| e.output == o && credits.can_take(e.flits))
-                });
-                if let Some(i) = grant {
-                    let entry = self.inputs[i].pop_front().expect("granted head exists");
-                    self.input_flits[i] -= entry.flits;
-                    assert!(
-                        self.output_credits[o].try_take(entry.flits),
-                        "grant implies credits"
-                    );
-                    let busy = self.cfg.flit_time * entry.flits;
-                    self.output_free[o] = now + busy;
-                    self.forwarded += 1;
-                    self.probe.switch_forward(self.probe_cube, entry.flits, now);
-                    departures.push(Departure {
-                        input: i,
-                        output: o,
-                        flits: entry.flits,
-                        at: now + self.cfg.hop_latency + busy,
-                        payload: entry.payload,
-                    });
-                    progress = true;
+                let ready = self.ready_heads(o);
+                let Some(i) = self.arbs[o].grant_mask(ready) else {
+                    continue;
+                };
+                let entry = self.inputs[i].pop_front().expect("granted head exists");
+                self.head_mask[o] &= !(1 << i);
+                if let Some(next) = self.inputs[i].front() {
+                    self.head_mask[next.output] |= 1 << i;
                 }
+                self.input_flits[i] -= entry.flits;
+                assert!(
+                    self.output_credits[o].try_take(entry.flits),
+                    "grant implies credits"
+                );
+                let busy = self.cfg.flit_time * entry.flits;
+                self.output_free[o] = now + busy;
+                self.forwarded += 1;
+                self.probe.switch_forward(self.probe_cube, entry.flits, now);
+                departures.push(Departure {
+                    input: i,
+                    output: o,
+                    flits: entry.flits,
+                    at: now + self.cfg.hop_latency + busy,
+                    payload: entry.payload,
+                });
+                progress = true;
             }
             if !progress {
                 break;
@@ -313,13 +323,28 @@ impl<P> SwitchCore<P> {
         // Record which output pools the surviving heads are starving on,
         // so the corresponding credit returns notify (and returns into
         // outputs nobody waits for don't trigger useless service passes).
-        for input in &self.inputs {
-            if let Some(head) = input.front() {
-                if !self.output_credits[head.output].can_take(head.flits) {
-                    self.output_credits[head.output].mark_starved();
-                }
+        for o in 0..self.cfg.outputs {
+            if self.head_mask[o] != self.ready_heads(o) {
+                self.output_credits[o].mark_starved();
             }
         }
+    }
+
+    /// The heads targeting output `o` that its credits can admit, as an
+    /// input bitmask.
+    fn ready_heads(&self, o: usize) -> u64 {
+        let credits = &self.output_credits[o];
+        let mut ready = 0;
+        let mut heads = self.head_mask[o];
+        while heads != 0 {
+            let i = heads.trailing_zeros() as usize;
+            heads &= heads - 1;
+            let head = self.inputs[i].front().expect("masked input has a head");
+            if credits.can_take(head.flits) {
+                ready |= 1 << i;
+            }
+        }
+        ready
     }
 
     /// The earliest future time at which [`SwitchCore::service`] could make
@@ -329,12 +354,10 @@ impl<P> SwitchCore<P> {
     /// [`SwitchCore::return_credits`]).
     pub fn next_wake(&self, now: Time) -> Option<Time> {
         let mut wake: Option<Time> = None;
-        for input in &self.inputs {
-            if let Some(head) = input.front() {
-                let free = self.output_free[head.output];
-                if free > now && self.output_credits[head.output].can_take(head.flits) {
-                    wake = Some(wake.map_or(free, |w| w.min(free)));
-                }
+        for o in 0..self.cfg.outputs {
+            let free = self.output_free[o];
+            if self.head_mask[o] != 0 && free > now && self.ready_heads(o) != 0 {
+                wake = Some(wake.map_or(free, |w| w.min(free)));
             }
         }
         wake
